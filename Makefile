@@ -19,12 +19,21 @@ bench:
 # (indexed vs linear oracle; >=3x aggregate sessions/sec at 8 shards
 # vs 1; >=10x wall-clock at 1000 suspended flows).  Writes
 # BENCH_flowtable.json + BENCH_eventlog.json +
-# BENCH_shard_scaling.json + BENCH_fluid.json.
+# BENCH_shard_scaling.json + BENCH_fluid.json.  Every bench runs even
+# after one fails, so each result is reported; the target then names
+# the failed benches and exits non-zero.
+SMOKE_BENCHES = bench_flowtable bench_eventlog bench_shard_scaling bench_fluid
+
 bench-smoke:
-	PYTHONPATH=src python benchmarks/bench_flowtable.py
-	PYTHONPATH=src python benchmarks/bench_eventlog.py
-	PYTHONPATH=src python benchmarks/bench_shard_scaling.py
-	PYTHONPATH=src python benchmarks/bench_fluid.py
+	@failed=""; \
+	for bench in $(SMOKE_BENCHES); do \
+		echo "== $$bench"; \
+		PYTHONPATH=src python benchmarks/$$bench.py || failed="$$failed $$bench"; \
+	done; \
+	if [ -n "$$failed" ]; then \
+		echo "bench-smoke FAILED:$$failed"; exit 1; \
+	fi; \
+	echo "bench-smoke OK (all benches passed)"
 
 # ruff when available; otherwise a full-tree syntax check plus the
 # stdlib-only unused-import checker (the part of ruff we rely on).

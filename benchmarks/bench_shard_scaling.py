@@ -14,8 +14,16 @@ critical-path model of a sharded control plane: each shard is its own
 process, so the fabric's session-setup throughput is the total number
 of sessions divided by the *busiest* shard's control-plane time --
 wall-clock PacketIn handling (the controller's own latency histograms)
-plus its share of the periodic NIB-digest hellos, whose cost is what
-the 100k residents actually load.
+plus its share of the periodic NIB-digest hellos.
+
+The hello term is one ``hello()`` timed after the run, multiplied by
+the number of sync rounds.  The NIB caches its location digest until a
+row changes, so that post-run hello returns the cached value and costs
+microseconds: it no longer stands for the rounds that rehashed the
+100k residents during the run, and the busiest-shard time is in
+practice PacketIn handling alone.  The model also leaves out kernel
+and data-plane time.  The scaling gate below is kept as it was; see
+EXPERIMENTS.md (E18) for what it reads now.
 
 Runs standalone (``python benchmarks/bench_shard_scaling.py`` with
 ``PYTHONPATH=src``) for ``make bench-smoke``, writing
@@ -68,8 +76,8 @@ def _populate_users(net) -> None:
 
 def _shard_busy_seconds(net, member, hello_rounds: float) -> float:
     """One shard's control-plane seconds: measured PacketIn handling
-    plus its hellos (digest of the shard's slice, once per sync
-    round), each timed at the post-run state size."""
+    plus its hellos, charged as one post-run hello per sync round (a
+    cached digest read once the NIB has stopped changing)."""
     snapshot = member.controller.metrics.snapshot()
     busy = 0.0
     for kind in PACKET_KINDS:

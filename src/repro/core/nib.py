@@ -69,6 +69,9 @@ class NetworkInformationBase:
         self.links: Dict[Tuple[int, int], LogicalLink] = {}
         self.switches: Dict[int, SwitchRecord] = {}
         self._uplink_ports: Dict[int, set] = {}
+        # location_digest() over every row; None once a row field it
+        # hashes changes (only the host mutators below clear it).
+        self._location_digest: Optional[str] = None
 
     # ------------------------------------------------------------------
     # Switches
@@ -110,6 +113,7 @@ class NetworkInformationBase:
             existing.dpid != dpid or existing.port != port
         )
         if existing is None or moved:
+            self._location_digest = None
             record = HostRecord(
                 mac=mac,
                 ip=ip or (existing.ip if existing else None),
@@ -120,22 +124,35 @@ class NetworkInformationBase:
                 is_element=is_element or (existing.is_element if existing else False),
             )
             self.hosts[mac] = record
+            if existing is not None and existing.ip != record.ip:
+                self._unindex_ip(existing.ip, mac)
             if record.ip:
                 self._hosts_by_ip[record.ip] = mac
             return record, True
         existing.last_seen = now
         if ip:
-            existing.ip = ip
+            if ip != existing.ip:
+                self._location_digest = None
+                self._unindex_ip(existing.ip, mac)
+                existing.ip = ip
             self._hosts_by_ip[ip] = mac
-        if is_element:
+        if is_element and not existing.is_element:
+            self._location_digest = None
             existing.is_element = True
         return existing, False
 
     def remove_host(self, mac: str) -> Optional[HostRecord]:
         record = self.hosts.pop(mac, None)
-        if record is not None and record.ip:
-            self._hosts_by_ip.pop(record.ip, None)
+        if record is not None:
+            self._location_digest = None
+            self._unindex_ip(record.ip, mac)
         return record
+
+    def _unindex_ip(self, ip: Optional[str], mac: str) -> None:
+        """Drop the ip -> mac mapping, unless another host took the IP
+        since (its mapping must survive this host's change)."""
+        if ip and self._hosts_by_ip.get(ip) == mac:
+            del self._hosts_by_ip[ip]
 
     def host_by_mac(self, mac: str) -> Optional[HostRecord]:
         return self.hosts.get(mac)
@@ -251,7 +268,20 @@ class NetworkInformationBase:
     def location_digest(self, dpids: Optional[Iterable[int]] = None) -> str:
         """sha256 over the canonical location rows.  Two NIBs agree on
         a dpid set exactly when their digests match -- this is what
-        shards exchange every sync round instead of full tables."""
+        shards exchange every sync round instead of full tables.
+
+        The all-rows digest (``dpids=None``) is cached until a host
+        mutator changes a hashed field (mac, ip, dpid, port,
+        is_element); a refresh that only moves ``last_seen`` keeps it.
+        Row fields must therefore change only through those mutators.
+        """
+        if dpids is None:
+            if self._location_digest is None:
+                self._location_digest = self._hash_locations(None)
+            return self._location_digest
+        return self._hash_locations(dpids)
+
+    def _hash_locations(self, dpids: Optional[Iterable[int]]) -> str:
         digest = hashlib.sha256()
         for mac, ip, dpid, port, is_element in self.location_entries(dpids):
             digest.update(

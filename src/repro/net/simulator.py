@@ -6,15 +6,18 @@ single :class:`Simulator` instance.  The kernel is intentionally small:
 a time-ordered event heap with stable FIFO ordering for simultaneous
 events, cancellable handles, and helpers for periodic processes.
 
-Determinism matters for reproducibility, so ties are broken by an
-insertion sequence number and no wall-clock time ever leaks in.
+Heap entries are ``(time, seq, handle)`` tuples, so every heap
+comparison is a C-level tuple compare that never reaches the handle
+(``seq`` is unique).  Determinism matters for reproducibility, so ties
+are broken by that insertion sequence number and no wall-clock time
+ever leaks in.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 
 class EventHandle:
@@ -43,9 +46,6 @@ class EventHandle:
             self._sim = None
             sim._note_cancelled()
 
-    def __lt__(self, other: "EventHandle") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:
         state = "cancelled" if self.cancelled else "pending"
         name = getattr(self.callback, "__name__", repr(self.callback))
@@ -71,7 +71,7 @@ class Simulator:
     COMPACT_MIN_QUEUE = 64
 
     def __init__(self) -> None:
-        self._queue: List[EventHandle] = []
+        self._queue: List[Tuple[float, int, EventHandle]] = []
         self._seq = itertools.count()
         self._now = 0.0
         self._running = False
@@ -99,9 +99,10 @@ class Simulator:
             raise ValueError(
                 f"cannot schedule at t={time} before current time t={self._now}"
             )
-        handle = EventHandle(time, next(self._seq), callback, args)
+        seq = next(self._seq)
+        handle = EventHandle(time, seq, callback, args)
         handle._sim = self
-        heapq.heappush(self._queue, handle)
+        heapq.heappush(self._queue, (time, seq, handle))
         return handle
 
     def attach_fluid(self, region) -> None:
@@ -131,7 +132,9 @@ class Simulator:
         pacing) grows the heap without bound until the dead handles
         surface naturally.
         """
-        self._queue = [event for event in self._queue if not event.cancelled]
+        self._queue = [
+            entry for entry in self._queue if not entry[2].cancelled
+        ]
         heapq.heapify(self._queue)
         self._cancelled_queued = 0
         self.heap_compactions += 1
@@ -186,7 +189,7 @@ class Simulator:
             while self._queue:
                 if max_events is not None and processed >= max_events:
                     break
-                head = self._queue[0]
+                head = self._queue[0][2]
                 if head.cancelled:
                     heapq.heappop(self._queue)
                     self._cancelled_queued -= 1
@@ -203,7 +206,7 @@ class Simulator:
                 if until is not None and head.time > until:
                     self._now = until
                     break
-                event = heapq.heappop(self._queue)
+                event = heapq.heappop(self._queue)[2]
                 event._sim = None
                 self._now = event.time
                 event.callback(*event.args)

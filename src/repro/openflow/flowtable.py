@@ -114,6 +114,30 @@ def _order_key(entry: FlowEntry) -> Tuple[int, int]:
     return (-entry.priority, entry.seq)
 
 
+def _position(entries: List[FlowEntry], entry: FlowEntry) -> int:
+    """Where ``entry`` sits (or would sit) in a list kept in
+    :func:`_order_key` order: the index of the first entry not ordered
+    before it.  A hand-rolled bisect, since ``bisect``'s ``key=`` needs
+    Python 3.10."""
+    key = _order_key(entry)
+    lo, hi = 0, len(entries)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _order_key(entries[mid]) < key:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+def _remove_sorted(entries: List[FlowEntry], entry: FlowEntry) -> None:
+    """Delete ``entry`` (by identity) from an :func:`_order_key`-sorted
+    list; (priority, seq) is unique, so the search lands on it."""
+    index = _position(entries, entry)
+    if index < len(entries) and entries[index] is entry:
+        del entries[index]
+
+
 class FlowTable:
     """A single OpenFlow 1.0-style flow table with an indexed fast path."""
 
@@ -197,16 +221,15 @@ class FlowTable:
         entry.seq = self._seq
         entry.resident = True
         self._by_key[(entry.match, entry.priority)] = entry
-        # Append + stable sort: the list is already sorted, so Timsort
-        # is near-linear, and equal priorities keep insertion order.
-        self._entries.append(entry)
-        self._entries.sort(key=_order_key)
+        # Binary-search insert: both lists stay in (-priority, seq)
+        # order, and the fresh seq is the largest, so the entry lands
+        # after every equal-priority entry -- insertion order is kept.
+        self._entries.insert(_position(self._entries, entry), entry)
         key = entry.match.exact_index_key()
         if key is not None:
             self._exact.setdefault(key, []).append(entry)
         else:
-            self._wild.append(entry)
-            self._wild.sort(key=_order_key)
+            self._wild.insert(_position(self._wild, entry), entry)
         deadline = entry.next_deadline()
         if deadline is not None:
             heapq.heappush(self._heap, (deadline, entry.seq, entry))
@@ -215,10 +238,7 @@ class FlowTable:
         """Unlink an entry from every structure (not the heap: its node
         is skipped on pop via the residency flag)."""
         entry.resident = False
-        for index, existing in enumerate(self._entries):
-            if existing is entry:
-                del self._entries[index]
-                break
+        _remove_sorted(self._entries, entry)
         if self._by_key.get((entry.match, entry.priority)) is entry:
             del self._by_key[(entry.match, entry.priority)]
         key = entry.match.exact_index_key()
@@ -232,10 +252,7 @@ class FlowTable:
                 if not bucket:
                     del self._exact[key]
         else:
-            for index, existing in enumerate(self._wild):
-                if existing is entry:
-                    del self._wild[index]
-                    break
+            _remove_sorted(self._wild, entry)
 
     def modify(self, match: Match, actions: Tuple[Action, ...], now: float,
                strict_priority: Optional[int] = None) -> int:

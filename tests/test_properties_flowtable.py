@@ -158,6 +158,19 @@ class TestIndexedLinearEquivalence:
         )
 
     @staticmethod
+    def _assert_scan_order(table, added_at):
+        """Both views list entries by descending priority, then by when
+        their (match, priority) was last added."""
+        def rank(entry):
+            return (-entry.priority, added_at[(entry.match, entry.priority)])
+
+        for view in (table.entries(), table.wildcard_entries()):
+            assert list(view) == sorted(view, key=rank)
+        assert list(table.wildcard_entries()) == [
+            e for e in table.entries() if e.match.exact_index_key() is None
+        ]
+
+    @staticmethod
     def _signature(entry):
         return None if entry is None else (
             entry.match, entry.priority, entry.actions,
@@ -169,6 +182,7 @@ class TestIndexedLinearEquivalence:
         for seed in range(40):
             rng = random.Random(seed)
             indexed, reference = FlowTable(), FlowTable()
+            added_at, adds = {}, 0  # (match, priority) -> last add
             now = 0.0
             for _ in range(rng.randint(2, 5)):
                 # A batch of mutations, mirrored into both tables
@@ -176,12 +190,41 @@ class TestIndexedLinearEquivalence:
                 # otherwise).
                 for _ in range(rng.randint(1, 12)):
                     entry = self._random_entry(rng)
+                    resident = reference.entries()
+                    if resident and rng.random() < 0.25:
+                        # Re-add an existing (match, priority): replaces
+                        # the old row and moves it behind its peers.
+                        old = rng.choice(resident)
+                        entry.match, entry.priority = old.match, old.priority
+                    adds += 1
+                    added_at[(entry.match, entry.priority)] = adds
                     indexed.add(dataclasses.replace(entry), now=now)
                     reference.add(dataclasses.replace(entry), now=now)
                 if rng.random() < 0.3:
                     victim = self._random_match(rng)
                     indexed.delete(victim)
                     reference.delete(victim)
+                for _ in range(rng.randint(0, 3)):
+                    # Strict deletes: mostly resident rows, otherwise a
+                    # random (match, priority), usually absent.
+                    resident = reference.entries()
+                    if resident and rng.random() < 0.8:
+                        old = rng.choice(resident)
+                        match, priority = old.match, old.priority
+                    else:
+                        match = self._random_match(rng)
+                        priority = rng.choice((50, 100, 200))
+                    # The indexed table may already have evicted an
+                    # expired row the reference still holds.
+                    removed = [
+                        [e for e in table.delete(match, strict=True,
+                                                 priority=priority)
+                         if not e.expired(now)]
+                        for table in (indexed, reference)
+                    ]
+                    assert len(removed[0]) == len(removed[1])
+                self._assert_scan_order(indexed, added_at)
+                self._assert_scan_order(reference, added_at)
                 if rng.random() < 0.3:
                     # The indexed table evicts expired entries the
                     # moment a lookup observes them; the reference only
