@@ -119,7 +119,8 @@ shard-smoke:
 # match the packet-level oracle flow-for-flow and digest-for-digest
 # (--assert-equivalent exits non-zero otherwise), including under a
 # mid-run link flap; the fluid run itself must be digest-stable
-# across two identical invocations.
+# across two identical invocations, and the steady leg must really
+# synthesize packets (an oracle match with the kernel idle is vacuous).
 fluid-smoke:
 	@PYTHONPATH=src python -m repro fluid --seed 3 --assert-equivalent \
 		| tee /tmp/fluid-a.txt
@@ -132,6 +133,8 @@ fluid-smoke:
 	else \
 		echo "fluid determinism OK ($$a)"; \
 	fi
+	@grep -q 'synthesized=[1-9]' /tmp/fluid-a.txt || \
+		{ echo "fluid kernel never engaged (synthesized=0)"; exit 1; }
 	@PYTHONPATH=src python -m repro fluid --seed 6 --link-flap \
 		--assert-equivalent | tee /tmp/fluid-flap.txt
 	@echo "fluid oracle equivalence OK (steady + link flap)"

@@ -22,7 +22,11 @@ The contract is equivalence, not approximation:
   refuses unless max-min fair allocation over every traversed link
   direction gives *every* candidate its full demand under the
   ``max_utilization`` headroom: no drops can occur, so synthesized
-  delivered bytes are exact, not modeled.
+  delivered bytes are exact, not modeled.  It refuses, too, when a
+  flow's next frame would reach a hop while a real frame is still
+  serializing there; a backlog that drains before that frame arrives
+  is harmless (all flows suspend together, so no newly emitted data
+  frame joins it) and does not block suspension.
 * Suspension is bounded by validity caps: the earliest ARP expiry,
   legacy MAC aging deadline, or flow-entry hard timeout along the
   path.  Crossing a cap resumes the flow at exactly the emission where
@@ -315,7 +319,7 @@ class FluidRegion:
         """
         candidates: List[Tuple[object, _Walk]] = []
         for flow in self.flows:
-            if flow in self._suspended:
+            if flow in self._suspended or _sends_no_more(flow):
                 continue
             walk, reason = self._walk(flow)
             if walk is None:
@@ -396,6 +400,7 @@ class FluidRegion:
         walk.valid_incl = arp[1] + src.arp_timeout_s
         frame = self._probe_frame(flow, arp[0])
         port = src.ports.get(HOST_PORT)
+        t_next = flow.paced_at(flow.packets_sent)
         offset = 0.0
         for _ in range(MAX_HOPS):
             if port is None or not port.enabled or port.link is None:
@@ -406,13 +411,18 @@ class FluidRegion:
             to_port = link.other_end(port)
             if not to_port.enabled:
                 return None, "port-disabled"
+            arrival = t_next + offset  # next frame reaches this buffer
             offset += frame.size * 8.0 / link.bandwidth_bps + link.delay_s
             plan = link.fluid_plan(port, frame.size, offset)
             if (self.congestion == "refuse"
-                    and plan.direction.occupancy(now) > 0):
-                # A draining drop-tail backlog (e.g. right after an
-                # overload subsided) would queue-delay -- or drop --
-                # real frames; analytic advance assumes neither.  The
+                    and plan.direction.backlog_done() > arrival):
+                # The next frame would queue behind a real one still
+                # serializing (e.g. a drop-tail backlog right after an
+                # overload subsided); analytic advance assumes no
+                # queueing.  A backlog that drains first is harmless:
+                # every flow is suspended together, so no newly
+                # emitted data frame joins it and the synthesized
+                # frames find the buffer empty, as in the oracle.  The
                 # "rate" policy models congestion anyway, so only the
                 # exactness-preserving policy refuses here.
                 return None, "queue-backlog"
@@ -652,6 +662,20 @@ class FluidRegion:
             "sim.fluid_materializations",
             "control-plane events that resumed packet fidelity",
         ).set_function(lambda: float(sum(self.materializations.values())))
+
+
+def _sends_no_more(flow) -> bool:
+    """A registered flow whose remaining emit only stops it.
+
+    A flow resumed at its stop time (or packet cap) stays ``running``
+    until that final emit fires; suspending it again would only cancel
+    and re-schedule the emit.  It sends no further frames, so leaving
+    it out of a suspension attempt is exact.
+    """
+    if flow.max_packets is not None and flow.packets_sent >= flow.max_packets:
+        return True
+    stop_at = flow._stop_at
+    return stop_at is not None and flow.paced_at(flow.packets_sent) >= stop_at
 
 
 _BASE_EMIT = None

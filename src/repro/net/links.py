@@ -21,6 +21,7 @@ serialization-completion times, pruned lazily against ``now``.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Deque, Dict, Iterable, TYPE_CHECKING
 
@@ -60,6 +61,17 @@ class _Direction:
         while pending and pending[0] <= now:
             pending.popleft()
         return len(pending)
+
+    def backlog_done(self) -> float:
+        """When the last real queued frame finishes serializing.
+
+        Read-only (``occupancy`` prunes ``pending_done``, which the
+        drop-tail check in :meth:`Link.transmit` relies on): a frame
+        arriving at or after this instant finds the buffer empty.
+        ``-inf`` when no real frame is queued.
+        """
+        pending = self.pending_done
+        return pending[-1] if pending else -math.inf
 
 
 class HopPlan:
@@ -211,9 +223,10 @@ class Link:
         needs so the per-advance hot loop is pure arithmetic.  The plan
         keeps link, port and utilization counters identical to what the
         packet path would have accumulated -- same fields, no events.
-        Queue occupancy is untouched: fluid mode only runs while the
-        traversed links have headroom, so analytic traffic never
-        queues.
+        Queue occupancy is untouched: the kernel suspends a flow only
+        when its next frame would find every traversed buffer drained
+        of real frames, and only while the links have headroom, so
+        analytic traffic never queues.
         """
         plan = HopPlan()
         plan.link = self

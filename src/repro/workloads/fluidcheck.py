@@ -121,8 +121,13 @@ def run_mix(
         net.sim.schedule_at(down_at + 0.3, victim.set_up, True)
 
     net.run(traffic_s + DRAIN_S)
+    return collect(net, flows, dsts)
 
-    result = MixResult(mode="fluid" if fluid else "packet")
+
+def collect(net, flows, dsts) -> MixResult:
+    """The comparable observables of a finished run of ``flows``
+    (``dsts`` are their destination hosts, in the same order)."""
+    result = MixResult(mode="packet" if net.fluid is None else "fluid")
     for index, (flow, dst) in enumerate(zip(flows, dsts)):
         result.flows.append({
             "index": index,
@@ -168,8 +173,21 @@ def compare_modes(
     exact on timing/session/duration and tolerant only on the
     packet/byte stats.
     """
-    packet = run_mix(seed, fluid=False, **kwargs)
-    fluid = run_mix(seed, fluid=True, **kwargs)
+    return {
+        "seed": seed,
+        **diff_modes(
+            run_mix(seed, fluid=False, **kwargs),
+            run_mix(seed, fluid=True, **kwargs),
+            delivered_tolerance_frames,
+        ),
+    }
+
+
+def diff_modes(
+    packet: MixResult, fluid: MixResult, delivered_tolerance_frames: int = 0
+) -> Dict[str, object]:
+    """Diff one workload's oracle run against its fluid run under the
+    :func:`compare_modes` contract (for hand-built workloads too)."""
     mismatches = []
     for row_p, row_f in zip(packet.outcome_table(), fluid.outcome_table()):
         if row_p == row_f:
@@ -190,7 +208,6 @@ def compare_modes(
             )
         )
     return {
-        "seed": seed,
         "packet": packet,
         "fluid": fluid,
         "flow_mismatches": mismatches,

@@ -9,9 +9,12 @@ allocator, materialization triggers, and the observability surface.
 import pytest
 
 from repro import build_livesec_network
+from repro.net import packet as pkt
 from repro.net.fluid import FluidRegion, max_min_rates
+from repro.net.node import Node, connect
 from repro.net.simulator import Simulator
 from repro.workloads.flows import CbrUdpFlow
+from repro.workloads.fluidcheck import collect, diff_modes
 
 
 def fluid_net(**kwargs):
@@ -104,6 +107,29 @@ class TestSuspension:
         assert stats["suspended_flows"] == 0
         assert stats["registered_flows"] == 0
         assert stats["resumes"] >= 1
+
+    def test_finishing_flow_is_not_resuspended(self):
+        # 4 ms pacing: the last frame leaves at +0.996 s and the stop
+        # emit fires at +1.0 s; the 10th governor tick lands at
+        # +0.998 s, between the two.  The resumed flow is still
+        # running there but sends nothing more, so the tick must skip
+        # it rather than suspend and resume it a second time.
+        def run(fluid):
+            net = build_livesec_network(
+                topology="linear", num_as=2, hosts_per_as=2, fluid=fluid,
+                fluid_config={"governor_interval_s": 0.0998},
+            )
+            net.start()
+            hosts = endpoints(net)
+            flow = steady_flow(net, hosts[0], hosts[1], duration_s=0.998)
+            net.run(3.0)
+            return collect(net, [flow], [hosts[1]])
+
+        result = diff_modes(run(False), run(True))
+        assert result["equivalent"], result["flow_mismatches"]
+        stats = result["fluid"].fluid_stats
+        assert stats["packets_synthesized"] > 0
+        assert stats["resumes"] == 1
 
     def test_oversubscribed_path_refused(self):
         # Both flows squeeze through one 100 Mbps access link; demand
@@ -255,3 +281,24 @@ class TestMaterialization:
             grid += 1
         assert seen["sent"] == grid > before
         assert seen["delivered"] == seen["sent"] * flow.packet_size
+
+
+class TestBacklogAccessor:
+    class Sink(Node):
+        def receive(self, frame, in_port):
+            pass
+
+    def test_backlog_done_leaves_pending_done_untouched(self, sim):
+        a, b = self.Sink(sim, "a"), self.Sink(sim, "b")
+        link = connect(sim, a, b, bandwidth_bps=1e6, delay_s=0.001)
+        direction = link._directions[id(a.port(1))]
+        assert direction.backlog_done() == float("-inf")
+        for _ in range(3):  # 1250 B = 10 ms each at 1 Mbps
+            a.send(pkt.make_udp("m1", "m2", "1.1.1.1", "2.2.2.2", 1, 2,
+                                size=1250), 1)
+        queued = list(direction.pending_done)
+        assert direction.backlog_done() == pytest.approx(0.030)
+        sim.run(until=0.025)  # two of the three have serialized
+        assert direction.backlog_done() == pytest.approx(0.030)
+        assert list(direction.pending_done) == queued
+        assert direction.occupancy(sim.now) == 1  # the pruning reader

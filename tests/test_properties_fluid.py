@@ -13,13 +13,20 @@ Three tiers cover 300 randomized mixes:
   drops at the fault boundary -- see DESIGN.md).
 
 Plus targeted scenarios: a shared bottleneck that must *refuse*
-fast-forward, and a sanity check that the kernel actually engages
-(a suite that silently never suspends would pass vacuously).
+fast-forward, a sanity check that the kernel actually engages (a
+suite that silently never suspends would pass vacuously), and
+hand-built drop-tail backlogs at every governor tick -- one that
+drains before the next frame arrives (admit) and one that does not
+(refuse).
 """
 
 import pytest
 
-from repro.workloads.fluidcheck import compare_modes
+from repro import build_livesec_network
+from repro.workloads.fluidcheck import (
+    DRAIN_S, collect, compare_modes, diff_modes,
+)
+from repro.workloads.flows import CbrUdpFlow
 
 SMALL = dict(num_flows=5, traffic_s=2.5, max_rate_bps=2e6)
 DENSE = dict(num_flows=8, traffic_s=4.0, max_rate_bps=4e6)
@@ -28,7 +35,7 @@ FLAP = dict(num_flows=5, traffic_s=2.5, max_rate_bps=2e6, link_flap=True)
 
 def assert_equivalent(result):
     assert result["equivalent"], {
-        "seed": result["seed"],
+        "seed": result.get("seed"),
         "digests_equal": result["digests_equal"],
         "flow_mismatches": result["flow_mismatches"],
         "fluid_stats": result["fluid"].fluid_stats,
@@ -92,3 +99,71 @@ def test_rate_policy_mix_keeps_wire_schedule():
     two policies coincide, so an uncongested rate-policy mix still
     matches the oracle exactly."""
     assert_equivalent(compare_modes(5, congestion="rate", **SMALL))
+
+
+GOVERNOR_S = 0.05  # FluidRegion's default governor interval
+BACKLOG_LEAD_S = 10e-6  # < one 1500 B frame's 120 us at 100 Mbps
+
+
+def run_tick_aligned(fluid, queued_sibling):
+    """Leave a real 1500 B frame serializing on an access link at every
+    governor tick: the ticker flow emits ``BACKLOG_LEAD_S`` before each
+    tick (the first flow's start anchors the governor's grid) and
+    paces exactly one frame per tick.  Its own next frame comes a whole
+    tick later, long after that backlog drained.  With
+    ``queued_sibling`` a second flow from the same host emits
+    ``BACKLOG_LEAD_S`` *after* each tick, so its next frame really
+    queues behind the ticker's."""
+    net = build_livesec_network(
+        topology="linear", num_as=2, hosts_per_as=2, fluid=fluid
+    )
+    net.start()
+    hosts = [h for h in net.topology.hosts if h is not net.topology.gateway]
+    per_tick_bps = 1500 * 8 / GOVERNOR_S
+    specs = [
+        (hosts[0], hosts[2], 2e6, 1000, 0.0),
+        (hosts[1], hosts[3], per_tick_bps, 1500, GOVERNOR_S - BACKLOG_LEAD_S),
+    ]
+    if queued_sibling:
+        specs.append(
+            (hosts[1], hosts[2], per_tick_bps, 1500,
+             GOVERNOR_S + BACKLOG_LEAD_S)
+        )
+    flows = []
+    for index, (src, dst, rate, size, delay) in enumerate(specs):
+        flow = CbrUdpFlow(
+            net.sim, src, dst.ip, rate_bps=rate, packet_size=size,
+            duration_s=1.5, sport=30000 + index, dport=9000 + index,
+        )
+        flows.append(flow.start(delay_s=delay))
+    net.run(1.5 + DRAIN_S)
+    return collect(net, flows, [spec[1] for spec in specs])
+
+
+def test_draining_backlog_admits_and_stays_exact():
+    """A real frame in the buffer at the tick only matters if the
+    flow's next frame would wait behind it.  Here it never would, so
+    the kernel must suspend (refusing every tick would pass the oracle
+    check vacuously) and still match the oracle exactly."""
+    result = diff_modes(
+        run_tick_aligned(False, queued_sibling=False),
+        run_tick_aligned(True, queued_sibling=False),
+    )
+    assert_equivalent(result)
+    stats = result["fluid"].fluid_stats
+    assert stats["refusals"].get("queue-backlog", 0) == 0
+    total_sent = sum(row["sent_packets"] for row in result["fluid"].flows)
+    assert stats["packets_synthesized"] > 0.5 * total_sent
+
+
+def test_serializing_backlog_refuses_and_stays_exact():
+    """A frame that would arrive while a real one is still serializing
+    queues in the oracle, so the attempt is refused."""
+    result = diff_modes(
+        run_tick_aligned(False, queued_sibling=True),
+        run_tick_aligned(True, queued_sibling=True),
+    )
+    assert_equivalent(result)
+    stats = result["fluid"].fluid_stats
+    assert stats["refusals"].get("queue-backlog", 0) >= 1
+    assert stats["packets_synthesized"] == 0
