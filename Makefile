@@ -46,6 +46,18 @@ lint:
 	fi
 	python scripts/check_unused_imports.py src tests benchmarks
 
+# $(call same-digest,PATTERN,FILE_A,FILE_B,LABEL): grep PATTERN from
+# both files; fail unless A holds a match and B's match equals it.
+define same-digest
+	@a=$$(grep -o '$(1)' $(2)); \
+	b=$$(grep -o '$(1)' $(3)); \
+	if [ -z "$$a" ] || [ "$$a" != "$$b" ]; then \
+		echo "$(4) digest mismatch: '$$a' vs '$$b'"; exit 1; \
+	else \
+		echo "$(4) digest OK ($$a)"; \
+	fi
+endef
+
 stats-smoke:
 	PYTHONPATH=src python -m repro stats --quick
 
@@ -61,24 +73,12 @@ chaos-smoke:
 chaos-determinism:
 	@PYTHONPATH=src python -m repro chaos --seed 0 | tee /tmp/chaos-a.txt
 	@PYTHONPATH=src python -m repro chaos --seed 0 | tee /tmp/chaos-b.txt
-	@a=$$(grep -o 'digest [0-9a-f]*' /tmp/chaos-a.txt); \
-	b=$$(grep -o 'digest [0-9a-f]*' /tmp/chaos-b.txt); \
-	if [ -z "$$a" ] || [ "$$a" != "$$b" ]; then \
-		echo "chaos digest mismatch: '$$a' vs '$$b'"; exit 1; \
-	else \
-		echo "chaos determinism OK ($$a)"; \
-	fi
+	$(call same-digest,digest [0-9a-f]*,/tmp/chaos-a.txt,/tmp/chaos-b.txt,chaos)
 	@PYTHONPATH=src python -m repro chaos --seed 0 --shards 4 \
 		| tee /tmp/chaos-shards-a.txt
 	@PYTHONPATH=src python -m repro chaos --seed 0 --shards 4 \
 		| tee /tmp/chaos-shards-b.txt
-	@a=$$(grep -o 'digest [0-9a-f]*' /tmp/chaos-shards-a.txt); \
-	b=$$(grep -o 'digest [0-9a-f]*' /tmp/chaos-shards-b.txt); \
-	if [ -z "$$a" ] || [ "$$a" != "$$b" ]; then \
-		echo "sharded chaos digest mismatch: '$$a' vs '$$b'"; exit 1; \
-	else \
-		echo "sharded chaos determinism OK ($$a)"; \
-	fi
+	$(call same-digest,digest [0-9a-f]*,/tmp/chaos-shards-a.txt,/tmp/chaos-shards-b.txt,sharded chaos)
 
 # Seeded compromised-switch scenario under forwarding accountability:
 # the misbehaving datapath must be convicted and quarantined within
@@ -91,13 +91,7 @@ accountability-smoke:
 	@PYTHONPATH=src python -m repro chaos --scenario compromised-switch \
 		--variant skip-waypoint --seed 0 --assert-detected \
 		--assert-recovered | tee /tmp/acct-b.txt
-	@a=$$(grep -o 'digest [0-9a-f]*' /tmp/acct-a.txt); \
-	b=$$(grep -o 'digest [0-9a-f]*' /tmp/acct-b.txt); \
-	if [ -z "$$a" ] || [ "$$a" != "$$b" ]; then \
-		echo "accountability digest mismatch: '$$a' vs '$$b'"; exit 1; \
-	else \
-		echo "accountability determinism OK ($$a)"; \
-	fi
+	$(call same-digest,digest [0-9a-f]*,/tmp/acct-a.txt,/tmp/acct-b.txt,accountability)
 	@grep -q 'quarantined=\[2\]' /tmp/acct-a.txt || \
 		{ echo "compromised dpid 2 was not quarantined"; exit 1; }
 
@@ -126,13 +120,7 @@ fluid-smoke:
 		| tee /tmp/fluid-a.txt
 	@PYTHONPATH=src python -m repro fluid --seed 3 --assert-equivalent \
 		| tee /tmp/fluid-b.txt
-	@a=$$(grep -o 'digest [0-9a-f]\{64\}' /tmp/fluid-a.txt); \
-	b=$$(grep -o 'digest [0-9a-f]\{64\}' /tmp/fluid-b.txt); \
-	if [ -z "$$a" ] || [ "$$a" != "$$b" ]; then \
-		echo "fluid digest mismatch: '$$a' vs '$$b'"; exit 1; \
-	else \
-		echo "fluid determinism OK ($$a)"; \
-	fi
+	$(call same-digest,digest [0-9a-f]\{64\},/tmp/fluid-a.txt,/tmp/fluid-b.txt,fluid)
 	@grep -q 'synthesized=[1-9]' /tmp/fluid-a.txt || \
 		{ echo "fluid kernel never engaged (synthesized=0)"; exit 1; }
 	@PYTHONPATH=src python -m repro fluid --seed 6 --link-flap \
@@ -147,13 +135,7 @@ replay-smoke:
 	@PYTHONPATH=src python -m repro replay /tmp/replay-live.jsonl --at 6.0
 	@PYTHONPATH=src python -m repro replay /tmp/replay-live.jsonl \
 		--digest-only | tee /tmp/replay-again.txt
-	@a=$$(grep -o 'digest [0-9a-f]\{64\}' /tmp/replay-live.txt); \
-	b=$$(grep -o 'digest [0-9a-f]\{64\}' /tmp/replay-again.txt); \
-	if [ -z "$$a" ] || [ "$$a" != "$$b" ]; then \
-		echo "replay digest mismatch: '$$a' vs '$$b'"; exit 1; \
-	else \
-		echo "replay round trip OK ($$a)"; \
-	fi
+	$(call same-digest,digest [0-9a-f]\{64\},/tmp/replay-live.txt,/tmp/replay-again.txt,replay round trip)
 
 # The policy-compiler lifecycle end to end: the sample intent file
 # compiles clean, the seeded conflicting file is rejected with its
@@ -177,13 +159,7 @@ policy-smoke:
 	@PYTHONPATH=src python -m repro policy reload \
 		examples/policies/intents.json \
 		--record /tmp/policy-reload-b.jsonl | tee /tmp/policy-b.txt
-	@a=$$(grep -o 'digest [0-9a-f]\{64\}' /tmp/policy-a.txt); \
-	b=$$(grep -o 'digest [0-9a-f]\{64\}' /tmp/policy-b.txt); \
-	if [ -z "$$a" ] || [ "$$a" != "$$b" ]; then \
-		echo "policy reload digest mismatch: '$$a' vs '$$b'"; exit 1; \
-	else \
-		echo "policy hot-reload OK, digest-stable ($$a)"; \
-	fi
+	$(call same-digest,digest [0-9a-f]\{64\},/tmp/policy-a.txt,/tmp/policy-b.txt,policy hot-reload)
 
 # Runtime app operations end to end: boot a deployment, stop ->
 # reload -> start the monitor app mid-traffic, record the event log,
@@ -196,13 +172,7 @@ ops-smoke:
 	@PYTHONPATH=src python -m repro ops --action cycle \
 		--record /tmp/ops-b.jsonl | tee /tmp/ops-b.txt
 	@PYTHONPATH=src python -m repro journal /tmp/ops-a.jsonl --digest-only
-	@a=$$(grep -o 'journal digest [0-9a-f]\{64\}' /tmp/ops-a.txt); \
-	b=$$(grep -o 'journal digest [0-9a-f]\{64\}' /tmp/ops-b.txt); \
-	if [ -z "$$a" ] || [ "$$a" != "$$b" ]; then \
-		echo "ops journal digest mismatch: '$$a' vs '$$b'"; exit 1; \
-	else \
-		echo "ops lifecycle OK, journal digest-stable ($$a)"; \
-	fi
+	$(call same-digest,journal digest [0-9a-f]\{64\},/tmp/ops-a.txt,/tmp/ops-b.txt,ops journal)
 
 examples:
 	python examples/quickstart.py

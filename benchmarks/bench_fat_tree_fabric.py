@@ -17,11 +17,7 @@ full LiveSec deployment:
 import sys
 
 from repro.analysis import format_table, mbps
-from repro.core.controller import LiveSecController
-from repro.core.deployment import LiveSecNetwork
-from repro.core.visualization import MonitoringComponent
-from repro.net.fattree import fat_tree_topology
-from repro.net.simulator import Simulator
+from repro.core.deployment import LiveSecNetwork, build_livesec_network
 from repro.workloads import CbrUdpFlow
 
 from common import run_once
@@ -31,15 +27,8 @@ MEASURE_S = 1.5
 
 
 def _deploy() -> LiveSecNetwork:
-    sim = Simulator()
-    topo = fat_tree_topology(sim, k=4, hosts_per_edge=2,
-                             access_bandwidth_bps=ACCESS_BPS)
-    controller = LiveSecController(sim)
-    net = LiveSecNetwork(
-        sim=sim, topology=topo, controller=controller,
-        monitoring=MonitoringComponent(controller.log),
-    )
-    net._connect_channels(0.5e-3)
+    net = build_livesec_network(topology="fattree", k=4, hosts_per_edge=2,
+                                access_bandwidth_bps=ACCESS_BPS)
     net.start()
     return net
 

@@ -2,9 +2,12 @@
 
 :func:`build_livesec_network` wires a physical topology, the LiveSec
 controller with its secure channels, and a fleet of provisioned
-service elements into a ready-to-run :class:`LiveSecNetwork`.  This is
-the programmatic equivalent of the paper's Section V.A deployment
-procedure and the entry point every example and benchmark uses.
+service elements into a ready-to-run :class:`LiveSecNetwork`;
+:func:`build_sharded_network` does the same for N controller shards
+(:class:`ShardedDeployment`).  Both shapes share one
+:class:`Deployment` substrate.  This is the programmatic equivalent of
+the paper's Section V.A deployment procedure and the entry point every
+example and benchmark uses.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from repro.core.sharding import (
 from repro.core.visualization import MonitoringComponent
 from repro.elements import ELEMENT_TYPES
 from repro.elements.base import ServiceElement
+from repro.net.fattree import fat_tree_topology
 from repro.net.fluid import FluidRegion
 from repro.net.host import Host
 from repro.net.node import connect
@@ -39,24 +43,19 @@ DEFAULT_WARMUP_S = 1.5
 ELEMENT_LINK_BPS = 1e9  # VM virtio into the local OvS
 
 
-@dataclass
-class LiveSecNetwork:
-    """A running LiveSec deployment: substrate + controller + elements."""
+class Deployment:
+    """The substrate every deployment shape shares: host bring-up,
+    element provisioning, secure channels, port-capacity registration.
 
-    sim: Simulator
-    topology: Topology
-    controller: LiveSecController
-    monitoring: MonitoringComponent
-    elements: List[ServiceElement] = field(default_factory=list)
-    channels: Dict[int, SecureChannel] = field(default_factory=dict)
-    # Per-service-type conntrack replication groups: every stateful
-    # firewall of one type shares session state with its replicas.
-    conntrack_groups: Dict[str, ConnTrackReplicationGroup] = field(
-        default_factory=dict
-    )
-    # The attached fast-forward region when built with ``fluid=True``.
-    fluid: Optional[FluidRegion] = None
-    started: bool = False
+    The shapes differ only in which controller owns a datapath: a
+    subclass supplies :meth:`_owner` and a ``controllers`` list, plus
+    the ``sim``/``topology``/``elements``/``channels``/
+    ``conntrack_groups``/``started`` fields it declares as a dataclass.
+    """
+
+    def _owner(self, dpid: int) -> LiveSecController:
+        """The controller that owns (and provisions behind) ``dpid``."""
+        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -64,9 +63,9 @@ class LiveSecNetwork:
     def start(self, warmup_s: float = DEFAULT_WARMUP_S) -> None:
         """Run topology discovery to convergence, then bring hosts up.
 
-        After ``start()`` returns, the controller's NIB holds the
-        full-mesh logical topology and every host/element location, so
-        first packets route immediately.
+        After ``start()`` returns, every controller's NIB holds its
+        logical topology and every host/element location, so first
+        packets route immediately.
         """
         if self.started:
             raise RuntimeError("already started")
@@ -76,7 +75,8 @@ class LiveSecNetwork:
         # Phase 2: announce elements (their daemons have been reporting
         # already; re-announce so the legacy fabric learns their MACs
         # now that uplinks are known), then hosts.
-        self.controller.refresh_announcements()
+        for controller in self.controllers:
+            controller.refresh_announcements()
         for host in self.topology.hosts:
             host.announce()
         self.sim.run(until=self.sim.now + 0.5)
@@ -95,7 +95,8 @@ class LiveSecNetwork:
         name: Optional[str] = None,
         **element_kwargs,
     ) -> ServiceElement:
-        """Create, wire, and provision one VM-based service element."""
+        """Create, wire, and provision one VM-based service element on
+        the controller owning its switch."""
         try:
             factory = ELEMENT_TYPES[element_type]
         except KeyError:
@@ -103,9 +104,13 @@ class LiveSecNetwork:
                 f"unknown element type {element_type!r};"
                 f" choose from {sorted(ELEMENT_TYPES)}"
             ) from None
-        mac, ip = self.topology.allocator.host_addresses()
+        owner = self._owner(switch.dpid)
         if name is None:
             name = f"{element_type}-{len(self.elements) + 1}"
+        # Fault plans and tooling resolve elements by name.
+        if any(e.name == name for e in self.elements):
+            raise ValueError(f"element name {name!r} already in use")
+        mac, ip = self.topology.allocator.host_addresses()
         element = factory(self.sim, name, mac, ip, **element_kwargs)
         switch_port = switch.next_free_port().number
         connect(
@@ -115,7 +120,9 @@ class LiveSecNetwork:
             port_a=switch_port,
             port_b=element.next_free_port().number,
         )
-        element.provision(self.controller.registry.issue_certificate(mac))
+        element.provision(owner.registry.issue_certificate(mac))
+        # Conntrack replication is element-to-element and oblivious to
+        # control-plane partitioning: one group per service type.
         if hasattr(element, "join_replication_group"):
             group = self.conntrack_groups.get(element.service_type)
             if group is None:
@@ -123,7 +130,7 @@ class LiveSecNetwork:
                 self.conntrack_groups[element.service_type] = group
             element.join_replication_group(group)
         self.elements.append(element)
-        self._register_capacity(switch)
+        self._register_capacity(switch, owner)
         return element
 
     def elements_of_type(self, element_type: str) -> List[ServiceElement]:
@@ -135,10 +142,9 @@ class LiveSecNetwork:
     def add_user(self, name: str, switch, wireless: bool = False,
                  bandwidth_bps: float = 100e6) -> Host:
         """Attach a new user host at runtime (it must ``announce()``)."""
-        host = self.topology.add_host(
+        return self.topology.add_host(
             name, switch, bandwidth_bps=bandwidth_bps, wireless=wireless
         )
-        return host
 
     def host(self, name: str) -> Host:
         return self.topology.host_by_name(name)
@@ -153,29 +159,68 @@ class LiveSecNetwork:
     # ------------------------------------------------------------------
     # Internals
 
+    def _provision(self, elements: Sequence[Tuple[str, int]]) -> None:
+        """Place ``(element_type, count)`` fleets round-robin over the
+        AS switches."""
+        as_switches = self.topology.as_switches
+        for element_type, count in elements:
+            for index in range(count):
+                self.add_element(element_type,
+                                 as_switches[index % len(as_switches)])
+
     def _connect_channels(self, control_latency_s: float) -> None:
         from repro.openflow.pathproof import derive_switch_secret
 
         for switch in self.topology.all_openflow_switches():
+            owner = self._owner(switch.dpid)
             channel = SecureChannel(
-                self.sim, switch, self.controller, latency_s=control_latency_s
+                self.sim, switch, owner, latency_s=control_latency_s
             )
             channel.connect()
             # Per-switch path-proof keys derive from the deployment
             # secret, so a non-default controller secret still verifies.
             switch.path_secret = derive_switch_secret(
-                self.controller.secret, switch.dpid
+                owner.secret, switch.dpid
             )
             self.channels[switch.dpid] = channel
-            switch.attach_metrics(self.controller.metrics)
-            self._register_capacity(switch)
+            switch.attach_metrics(owner.metrics)
+            self._register_capacity(switch, owner)
 
-    def _register_capacity(self, switch) -> None:
+    def _register_capacity(self, switch, controller=None) -> None:
+        if controller is None:
+            controller = self._owner(switch.dpid)
         for number, port in switch.ports.items():
             if port.link is not None:
-                self.controller.register_port_capacity(
+                controller.register_port_capacity(
                     switch.dpid, number, port.link.bandwidth_bps
                 )
+
+
+@dataclass
+class LiveSecNetwork(Deployment):
+    """A running LiveSec deployment: substrate + controller + elements."""
+
+    sim: Simulator
+    topology: Topology
+    controller: LiveSecController
+    monitoring: MonitoringComponent
+    elements: List[ServiceElement] = field(default_factory=list)
+    channels: Dict[int, SecureChannel] = field(default_factory=dict)
+    # Per-service-type conntrack replication groups: every stateful
+    # firewall of one type shares session state with its replicas.
+    conntrack_groups: Dict[str, ConnTrackReplicationGroup] = field(
+        default_factory=dict
+    )
+    # The attached fast-forward region when built with ``fluid=True``.
+    fluid: Optional[FluidRegion] = None
+    started: bool = False
+
+    @property
+    def controllers(self) -> List[LiveSecController]:
+        return [self.controller]
+
+    def _owner(self, dpid: int) -> LiveSecController:
+        return self.controller
 
     # ------------------------------------------------------------------
     # Policy lifecycle
@@ -204,7 +249,7 @@ class LiveSecNetwork:
 
 
 @dataclass
-class ShardedDeployment:
+class ShardedDeployment(Deployment):
     """N controller shards over one physical network.
 
     The thin composition the shard fabric promises: every
@@ -212,7 +257,8 @@ class ShardedDeployment:
     ``LiveSecController`` (its own EventBus, apps, NIB, metrics, event
     log); the only shared objects are the simulator, the physical
     topology, and the :class:`~repro.core.sharding.ShardCoordinator`
-    running the inter-shard protocol.
+    running the inter-shard protocol.  Each datapath is provisioned by
+    whichever shard owns it.
     """
 
     sim: Simulator
@@ -222,8 +268,6 @@ class ShardedDeployment:
     members: List[ShardMember] = field(default_factory=list)
     elements: List[ServiceElement] = field(default_factory=list)
     channels: Dict[int, SecureChannel] = field(default_factory=dict)
-    # Conntrack replication is element-to-element and oblivious to
-    # control-plane partitioning: one group per service type fabric-wide.
     conntrack_groups: Dict[str, ConnTrackReplicationGroup] = field(
         default_factory=dict
     )
@@ -254,117 +298,8 @@ class ShardedDeployment:
             raise KeyError(f"no shard member owns dpid {dpid}")
         return member
 
-    # ------------------------------------------------------------------
-    # Lifecycle
-
-    def start(self, warmup_s: float = DEFAULT_WARMUP_S) -> None:
-        """Discovery warmup, then host bring-up -- every shard converges
-        on its own slice plus the cross-shard links its LLDP punts
-        reveal."""
-        if self.started:
-            raise RuntimeError("already started")
-        self.started = True
-        self.sim.run(until=self.sim.now + warmup_s)
-        for member in self.members:
-            member.controller.refresh_announcements()
-        for host in self.topology.hosts:
-            host.announce()
-        self.sim.run(until=self.sim.now + 0.5)
-
-    def run(self, duration_s: float) -> None:
-        self.sim.run(until=self.sim.now + duration_s)
-
-    # ------------------------------------------------------------------
-    # Element management
-
-    def add_element(
-        self,
-        element_type: str,
-        switch: OpenFlowSwitch,
-        name: Optional[str] = None,
-        **element_kwargs,
-    ) -> ServiceElement:
-        """Create, wire, and provision one element on its owner shard."""
-        try:
-            factory = ELEMENT_TYPES[element_type]
-        except KeyError:
-            raise ValueError(
-                f"unknown element type {element_type!r};"
-                f" choose from {sorted(ELEMENT_TYPES)}"
-            ) from None
-        owner = self.member_of(switch.dpid).controller
-        mac, ip = self.topology.allocator.host_addresses()
-        if name is None:
-            name = f"{element_type}-{len(self.elements) + 1}"
-        element = factory(self.sim, name, mac, ip, **element_kwargs)
-        switch_port = switch.next_free_port().number
-        connect(
-            self.sim, switch, element,
-            bandwidth_bps=ELEMENT_LINK_BPS,
-            delay_s=5e-6,
-            port_a=switch_port,
-            port_b=element.next_free_port().number,
-        )
-        element.provision(owner.registry.issue_certificate(mac))
-        if hasattr(element, "join_replication_group"):
-            group = self.conntrack_groups.get(element.service_type)
-            if group is None:
-                group = ConnTrackReplicationGroup(self.sim)
-                self.conntrack_groups[element.service_type] = group
-            element.join_replication_group(group)
-        self.elements.append(element)
-        self._register_capacity(switch, owner)
-        return element
-
-    def elements_of_type(self, element_type: str) -> List[ServiceElement]:
-        return [e for e in self.elements if e.service_type == element_type]
-
-    # ------------------------------------------------------------------
-    # Host/user management
-
-    def add_user(self, name: str, switch, wireless: bool = False,
-                 bandwidth_bps: float = 100e6) -> Host:
-        return self.topology.add_host(
-            name, switch, bandwidth_bps=bandwidth_bps, wireless=wireless
-        )
-
-    def host(self, name: str) -> Host:
-        return self.topology.host_by_name(name)
-
-    @property
-    def gateway(self) -> Host:
-        gw = self.topology.gateway
-        if gw is None:
-            raise RuntimeError("topology has no gateway")
-        return gw
-
-    # ------------------------------------------------------------------
-    # Internals
-
-    def _connect_channels(self, control_latency_s: float) -> None:
-        from repro.openflow.pathproof import derive_switch_secret
-
-        for switch in self.topology.all_openflow_switches():
-            owner = self.member_of(switch.dpid).controller
-            channel = SecureChannel(
-                self.sim, switch, owner, latency_s=control_latency_s
-            )
-            channel.connect()
-            switch.path_secret = derive_switch_secret(
-                owner.secret, switch.dpid
-            )
-            self.channels[switch.dpid] = channel
-            switch.attach_metrics(owner.metrics)
-            self._register_capacity(switch, owner)
-
-    def _register_capacity(self, switch, controller=None) -> None:
-        if controller is None:
-            controller = self.member_of(switch.dpid).controller
-        for number, port in switch.ports.items():
-            if port.link is not None:
-                controller.register_port_capacity(
-                    switch.dpid, number, port.link.bandwidth_bps
-                )
+    def _owner(self, dpid: int) -> LiveSecController:
+        return self.member_of(dpid).controller
 
     # ------------------------------------------------------------------
     # Introspection
@@ -385,7 +320,20 @@ _TOPOLOGY_BUILDERS = {
     "linear": linear,
     "star": star,
     "fit": fit_building,
+    "fattree": fat_tree_topology,
 }
+
+
+def _build_topology(sim: Simulator, topology: str,
+                    topology_kwargs: dict) -> Topology:
+    try:
+        builder = _TOPOLOGY_BUILDERS[topology]
+    except KeyError:
+        raise ValueError(
+            f"unknown topology {topology!r}; choose from"
+            f" {sorted(_TOPOLOGY_BUILDERS)}"
+        ) from None
+    return builder(sim, **topology_kwargs)
 
 
 def build_livesec_network(
@@ -410,8 +358,9 @@ def build_livesec_network(
 ) -> LiveSecNetwork:
     """Build (but do not start) a LiveSec deployment.
 
-    ``topology`` is ``'linear' | 'star' | 'fit'`` (kwargs forwarded to
-    the builder in :mod:`repro.net.topologies`).  ``elements`` lists
+    ``topology`` is ``'linear' | 'star' | 'fit' | 'fattree'`` (kwargs
+    forwarded to the builder in :mod:`repro.net.topologies` or
+    :mod:`repro.net.fattree`).  ``elements`` lists
     ``(element_type, count)`` pairs distributed round-robin over the
     AS switches -- e.g. the paper-scale fleet is
     ``[("ids", 160), ("l7", 40)]`` on the ``'fit'`` topology.
@@ -433,14 +382,7 @@ def build_livesec_network(
         # Deployment config loads run verified: a conflicting file must
         # fail the build, not silently serve insertion-order semantics.
         policies = load_policies(policy_file, verify=True)
-    try:
-        builder = _TOPOLOGY_BUILDERS[topology]
-    except KeyError:
-        raise ValueError(
-            f"unknown topology {topology!r}; choose from"
-            f" {sorted(_TOPOLOGY_BUILDERS)}"
-        ) from None
-    topo = builder(sim, **topology_kwargs)
+    topo = _build_topology(sim, topology, topology_kwargs)
     controller = LiveSecController(
         sim,
         policies=policies,
@@ -463,10 +405,7 @@ def build_livesec_network(
         region.attach_metrics(controller.metrics)
         network.fluid = region
     network._connect_channels(control_latency_s)
-    for element_type, count in elements:
-        for index in range(count):
-            switch = topo.as_switches[index % len(topo.as_switches)]
-            network.add_element(element_type, switch)
+    network._provision(elements)
     return network
 
 
@@ -514,26 +453,11 @@ def build_sharded_network(
         )
     if sim is None:
         sim = Simulator()
-    if topology == "fattree":
-        from repro.net.fattree import fat_tree_topology
-
-        topo = fat_tree_topology(sim, **topology_kwargs)
-        k = topology_kwargs.get("k", 4)
-        if num_shards == k:
-            shard_map = ShardMap.per_pod(k)
-        else:
-            shard_map = ShardMap.contiguous(
-                [s.dpid for s in topo.all_openflow_switches()], num_shards
-            )
+    topo = _build_topology(sim, topology, topology_kwargs)
+    k = topology_kwargs.get("k", 4)
+    if topology == "fattree" and num_shards == k:
+        shard_map = ShardMap.per_pod(k)
     else:
-        try:
-            builder = _TOPOLOGY_BUILDERS[topology]
-        except KeyError:
-            raise ValueError(
-                f"unknown topology {topology!r}; choose from"
-                f" {sorted(_TOPOLOGY_BUILDERS) + ['fattree']}"
-            ) from None
-        topo = builder(sim, **topology_kwargs)
         shard_map = ShardMap.contiguous(
             [s.dpid for s in topo.all_openflow_switches()], num_shards
         )
@@ -546,14 +470,12 @@ def build_sharded_network(
     )
     members: List[ShardMember] = []
     for shard_id in range(num_shards):
-        if policies is None:
-            table = None
+        if policy_file is not None:
+            table = load_policies(policy_file, verify=True)
         elif callable(policies):
             table = policies()
         else:
             table = policies
-        if policy_file is not None:
-            table = load_policies(policy_file, verify=True)
         controller = LiveSecController(
             sim,
             policies=table,
@@ -581,10 +503,7 @@ def build_sharded_network(
         channels=network.channels,
         register_capacity=network._register_capacity,
     )
-    for element_type, count in elements:
-        for index in range(count):
-            switch = topo.as_switches[index % len(topo.as_switches)]
-            network.add_element(element_type, switch)
+    network._provision(elements)
     if topo.gateway is not None:
         attachment = topo.attachments[topo.gateway.name]
         coordinator.publish_host(

@@ -84,8 +84,7 @@ class FaultInjector:
         # A sharded deployment exposes every shard's controller plus a
         # fabric-level registry; a classic network just its one
         # controller.  Recovery scoring subscribes to all of them.
-        self._controllers = list(getattr(net, "controllers", None)
-                                 or [net.controller])
+        self._controllers = list(net.controllers)
         self._coordinator = getattr(net, "coordinator", None)
         registry = (net.metrics if self._coordinator is not None
                     else net.controller.metrics)

@@ -86,10 +86,9 @@ def run_cases(net, cases):
         ).start(delay_s=start_s)
     net.run(LAUNCH_WINDOW_S + SETTLE_S)
 
-    controllers = getattr(net, "controllers", None) or [net.controller]
     outcomes = {}
     blocked_events = 0
-    for controller in controllers:
+    for controller in net.controllers:
         for session in controller.sessions:
             key = (session.flow.nw_src, session.flow.tp_src,
                    session.flow.tp_dst)
